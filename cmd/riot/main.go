@@ -32,10 +32,6 @@
 //	                          tree and write it as Chrome trace-event
 //	                          JSON (load in chrome://tracing or
 //	                          ui.perfetto.dev)
-//	riot -hier=false          verify with the flat engines only,
-//	                          bypassing the hierarchical per-cell
-//	                          certificate path (verdicts are identical;
-//	                          this is the slow reference mode)
 //	riot -faults SPEC         arm deterministic fault-injection points
 //	                          (e.g. "cert-pend=SRCELL,store-corrupt:1")
 //	                          to exercise the pipeline's degradation
@@ -49,7 +45,6 @@
 //	                          verification store; combine with -cache
 //	                          to persist it and -stats[=json] for the
 //	                          aggregate counters after serving
-
 //
 // Exit status distinguishes why a run failed: 0 means every requested
 // check passed; 1 means the design failed verification (design-rule
@@ -134,7 +129,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var stats statsFlag
 	fl.Var(&stats, "stats", "print unified verification statistics after the run (=json: machine-readable)")
 	traceFile := fl.String("trace", "", "write the pipeline's span tree as Chrome trace-event JSON to FILE")
-	hier := fl.Bool("hier", true, "verify through hierarchical per-cell certificates (=false: flat engines only)")
 	faults := fl.String("faults", os.Getenv("RIOT_FAULTS"), "arm fault-injection points, e.g. \"cert-pend=SRCELL,store-corrupt:1\" (default $RIOT_FAULTS)")
 	srv := fl.Bool("serve", false, "run the multi-session design server over stdin (OPEN/ON/CLOSE/SESSIONS/STATS/QUIT)")
 	if err := fl.Parse(args); err != nil {
@@ -189,7 +183,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	s.Shell.CreateFile = func(name string) (io.WriteCloser, error) {
 		return os.Create(name)
 	}
-	s.Shell.Verifier.Hier = *hier
 	if *faults != "" {
 		set, err := faultinject.Parse(*faults)
 		if err != nil {
@@ -359,4 +352,3 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	return code
 }
-

@@ -133,8 +133,7 @@ func checkWorkers(fr *flatten.Result, workers int) []Violation {
 }
 
 // evalAll evaluates every layer, one goroutine per layer when more
-// than one worker is available (the shared Incremental full-rebuild
-// path and checkWorkers both use it).
+// than one worker is available.
 func evalAll(fr *flatten.Result, layers []geom.Layer, workers int) []*layerEval {
 	evals := make([]*layerEval, len(layers))
 	if workers < 2 || len(layers) < 2 {
@@ -214,9 +213,9 @@ func widthViolations(l geom.Layer, rects []geom.Rect, minW int) []Violation {
 // feature (2*minW - 2) and the narrowest legal one (2*minW), so
 // exact-minimum features survive and every intermediate region stays
 // non-degenerate. The result is a pure, canonical function of the
-// material point set: the incremental checker relies on that to splice
-// residues computed in a window around an edit with cached ones
-// outside it.
+// material point set: the hierarchical compositor relies on that to
+// combine residues computed in windows around placement seams with
+// the per-cell certificates' residues.
 func widthResidues(rects []geom.Rect, minW int) []geom.Rect {
 	if minW <= 0 {
 		return nil

@@ -5,69 +5,40 @@ import (
 	"riot/internal/rules"
 )
 
-// This file is the per-layer evaluation core behind Check, CheckLayer
-// and Incremental. One layerEval holds everything a layer's check
-// derives — and everything the incremental checker needs to splice the
-// next run instead of recomputing it:
+// This file is the per-layer evaluation core behind Check and
+// CheckLayer. One layerEval holds everything a layer's check derives:
 //
-//   - the touch-edge graph (every pair of touching rectangles) and the
-//     connected-component partition its closure induces. Touching
-//     material is one electrical net, so spacing rules do not apply
-//     inside a component; the edge graph is cached because after an
-//     edit the surviving edges replay in O(E) plain unions, with index
-//     queries only for the added rectangles;
+//   - the connected-component partition of touching rectangles.
+//     Touching material is one electrical net, so spacing rules do not
+//     apply inside a component;
 //   - the width residues: the merged layer region minus its
 //     morphological opening, kept as canonical slabs in doubled
-//     coordinates. The opening has bounded locality (a residue point
-//     depends only on material within the opening square's reach), so
-//     an edit re-derives residues inside a window around the changed
-//     material and splices the rest;
-//   - the spacing violations, tagged with the rectangle pair that
-//     produced them, so survivors remap across an edit and only pairs
-//     an edit could have changed re-measure.
+//     coordinates;
+//   - the spacing violations.
 type layerEval struct {
 	layer geom.Layer
 	rule  rules.Rule
 	rects []geom.Rect
 	boxes []geom.Rect // per-rect occurrence boxes; nil = no trust, measure all
 	comp  []int32     // component root per rect
-	edges []uint64    // touching pairs, packed lo<<32|hi
 
 	widthResid []geom.Rect // canonical residue slabs, doubled coordinates
-	spacing    []spacingEntry
-}
-
-// spacingEntry is one spacing violation with the rectangle pair that
-// measured it.
-type spacingEntry struct {
-	i, j int32
-	v    Violation
-}
-
-// packEdge normalizes and packs a touching pair.
-func packEdge(i, j int) uint64 {
-	if j < i {
-		i, j = j, i
-	}
-	return uint64(i)<<32 | uint64(j)
+	spacing    []Violation
 }
 
 // appendViolations flattens the eval's width residues and spacing
-// entries into the caller's report.
+// violations into the caller's report.
 func (le *layerEval) appendViolations(out []Violation) []Violation {
 	minW := le.rule.MinWidth * rules.Lambda
 	for _, r := range le.widthResid {
 		out = append(out, widthViolationFrom(le.layer, r, minW))
 	}
-	for _, e := range le.spacing {
-		out = append(out, e.v)
-	}
-	return out
+	return append(out, le.spacing...)
 }
 
-// evalLayer runs the full check over one layer: touch edges and
-// components from per-rect index queries, whole-layer width residues,
-// and the all-pairs spacing scan.
+// evalLayer runs the full check over one layer: components from
+// per-rect index queries, whole-layer width residues, and the
+// all-pairs spacing scan.
 func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rules.Rule) *layerEval {
 	le := &layerEval{layer: l, rule: rule, rects: rects, boxes: boxes}
 
@@ -76,7 +47,6 @@ func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rule
 		ix.QueryRect(r, func(j int) bool {
 			if j > i {
 				uf.Union(i, j)
-				le.edges = append(le.edges, packEdge(i, j))
 			}
 			return true
 		})
@@ -88,7 +58,7 @@ func evalLayer(l geom.Layer, rects, boxes []geom.Rect, ix *geom.Index, rule rule
 	minS := rule.MinSpacing * rules.Lambda
 	if minS > 0 && len(rects) >= 2 {
 		for i := range rects {
-			le.scanSpacing(ix, i, minS, func(j int) bool { return j > i })
+			le.scanSpacing(ix, i, minS)
 		}
 	}
 	return le
@@ -102,24 +72,22 @@ func compLabels(uf *geom.UnionFind, n int) []int32 {
 	return comp
 }
 
-// scanSpacing discovers spacing violations seen from rect i: halo
+// scanSpacing discovers spacing violations between rect i and its
+// higher-numbered partners (so each pair is measured once): halo
 // query, same-component and trust exemptions, then the symmetric pair
-// measurement. accept filters the partner (the full pass accepts j > i
-// so each pair is measured once; the incremental pass accepts exactly
-// the partners its iteration set would otherwise double- or
-// never-visit).
-func (le *layerEval) scanSpacing(ix *geom.Index, i, minS int, accept func(j int) bool) {
+// measurement.
+func (le *layerEval) scanSpacing(ix *geom.Index, i, minS int) {
 	halo := minS - 1 // gap <= minS-1 <=> gap < minS on the integer grid
 	grown := le.rects[i].Canon().Inset(-halo)
 	ix.QueryRect(grown, func(j int) bool {
-		if j == i || le.comp[j] == le.comp[i] || !accept(j) {
+		if j <= i || le.comp[j] == le.comp[i] {
 			return true
 		}
 		if le.trusted(i, j) {
 			return true
 		}
 		if v, bad := spacingPair(le.layer, le.rects[i], le.rects[j], minS); bad {
-			le.spacing = append(le.spacing, spacingEntry{int32(i), int32(j), v})
+			le.spacing = append(le.spacing, v)
 		}
 		return true
 	})

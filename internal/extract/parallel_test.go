@@ -39,7 +39,7 @@ func soupResult(rng *rand.Rand, n int) *flatten.Result {
 	return fr
 }
 
-// copyResult clones the splice-relevant parts so a second solve never
+// copyResult clones the walk-order lists so a second solve never
 // sees per-layer caches built by the first.
 func copyResult(fr *flatten.Result) *flatten.Result {
 	return &flatten.Result{Shapes: fr.Shapes, Devices: fr.Devices,

@@ -11,18 +11,15 @@ import (
 	"riot/internal/obs"
 )
 
-// This file is the incremental half of the package: a Cache memoizes
-// the flattened shard of every top-level instance of a composition,
-// keyed on the instance's placement parameters, so re-flattening after
-// an edit only walks the instances that changed and splices the rest.
+// This file is the caching half of the package: a Cache memoizes the
+// flattened shard of every top-level instance of a composition, keyed
+// on the instance's placement parameters, so re-flattening after an
+// edit only walks the instances that changed and splices the rest.
 // The spliced Result is byte-identical to a from-scratch Cell walk —
 // the shards are exactly the per-instance segments that walk would
 // emit, concatenated in instance order with the occurrence ids
-// renumbered — so every consumer (extractor, DRC) sees the same input
-// either way. Alongside the Result the cache reports a Delta mapping
-// the new shape and device lists onto the previous run's, which is
-// what lets those consumers splice their own caches instead of
-// recomputing.
+// renumbered — so every consumer (extractor, DRC, LVS) sees the same
+// input either way.
 
 // instKey is the placement snapshot a cached shard is valid for: the
 // defining cell (by identity — STRETCH swaps the pointer) and the
@@ -52,33 +49,6 @@ type shard struct {
 	labels   []NamedLabel
 }
 
-// span locates one instance's segments inside a spliced Result.
-type span struct {
-	shapeLo, shapeHi   int
-	deviceLo, deviceHi int
-}
-
-// Delta maps a freshly spliced Result onto the previous one, so
-// downstream incremental passes know exactly which shapes and devices
-// survived an edit. Indices are positions in the respective Shapes and
-// Devices slices.
-type Delta struct {
-	// Old is the previous spliced Result.
-	Old *Result
-	// ShapeMap[i] is the old index of new shape i, or -1 if the shape
-	// is new. A mapped shape has an identical Layer and rectangle (its
-	// occurrence id may be renumbered; the occurrence's placed box is
-	// unchanged).
-	ShapeMap []int32
-	// OldShapeGone[j] reports that old shape j has no counterpart.
-	OldShapeGone []bool
-	// DeviceMap / OldDeviceGone mirror the shape maps for devices (a
-	// mapped device's geometry is identical; its occurrence id may be
-	// renumbered, like a shape's).
-	DeviceMap     []int32
-	OldDeviceGone []bool
-}
-
 // Cache memoizes per-instance flatten shards for one composition cell
 // across edits. The zero Cache is ready to use; a Cache serves one
 // cell at a time (Flatten resets it when the cell changes lineage —
@@ -97,8 +67,6 @@ type Cache struct {
 
 	cell   *core.Cell
 	shards map[*core.Instance]cachedShard
-	last   *Result
-	spans  map[*core.Instance]span
 	conns  map[*core.Instance]cachedConns
 
 	// optional persistent second level (AttachDisk): shards missing
@@ -117,9 +85,9 @@ type Cache struct {
 
 // Stats reports, for the most recent Flatten call, how many instance
 // shards were reused from the cache and how many re-flattened. A burst
-// of edits between two Flatten calls coalesces into one delta: only
-// the instances an edit actually touched re-flatten, however many
-// edits accumulated (the batched-edit test asserts exactly this).
+// of edits between two Flatten calls coalesces: only the instances an
+// edit actually touched re-flatten, however many edits accumulated
+// (the batched-edit test asserts exactly this).
 func (ca *Cache) Stats() (reused, reflattened int) {
 	return ca.lastReused, ca.lastReflattened
 }
@@ -148,12 +116,10 @@ func (ca *Cache) instConns(in *core.Instance) []core.InstConn {
 }
 
 // Flatten flattens the cell like Cell, reusing every unchanged
-// instance's cached shard. It returns the Result and, when a previous
-// Result exists to diff against, the Delta from it (nil on the first
-// run, on a cell switch, or after an error reset).
-func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
+// instance's cached shard.
+func (ca *Cache) Flatten(c *core.Cell) (*Result, error) {
 	if !atomic.CompareAndSwapInt32(&ca.busy, 0, 1) {
-		return nil, nil, fmt.Errorf("flatten: Cache entered concurrently (a Cache serves one session; share work across sessions through the content-addressed store)")
+		return nil, fmt.Errorf("flatten: Cache entered concurrently (a Cache serves one session; share work across sessions through the content-addressed store)")
 	}
 	defer atomic.StoreInt32(&ca.busy, 0)
 	fsp := ca.Trace.Begin("flatten")
@@ -162,7 +128,7 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 		// leaves have no instance list to splice; full walk
 		fr, err := Cell(c, Options{})
 		ca.reset()
-		return fr, nil, err
+		return fr, err
 	}
 	if ca.cell == nil || ca.cell.Origin() != c.Origin() {
 		ca.reset()
@@ -176,13 +142,11 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 	}
 
 	shards := make([]*shard, len(c.Instances))
-	reused := make([]bool, len(c.Instances))
 	ca.lastReused, ca.lastReflattened, ca.lastDiskLoaded = 0, 0, 0
 	for i, in := range c.Instances {
 		key := keyOf(in)
 		if ent, ok := ca.shards[in]; ok && ent.key == key {
 			shards[i] = ent.sh
-			reused[i] = true
 			ca.lastReused++
 			continue
 		}
@@ -199,8 +163,7 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 		sh, err := flattenInstance(in)
 		ssp.End()
 		if err != nil {
-			ca.last, ca.spans = nil, nil
-			return nil, nil, err
+			return nil, err
 		}
 		shards[i] = sh
 		ca.shards[in] = cachedShard{key: key, sh: sh}
@@ -228,10 +191,8 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 		SrcCells: make([]*core.Cell, 0, nSrc),
 		Labels:   make([]NamedLabel, 0, nLab+16),
 	}
-	spans := make(map[*core.Instance]span, len(c.Instances))
 	srcBase := 0
-	for i, sh := range shards {
-		sp := span{shapeLo: len(res.Shapes), deviceLo: len(res.Devices)}
+	for _, sh := range shards {
 		for _, s := range sh.shapes {
 			s.Src += srcBase
 			res.Shapes = append(res.Shapes, s)
@@ -244,9 +205,6 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 		res.SrcBoxes = append(res.SrcBoxes, sh.srcBoxes...)
 		res.SrcCells = append(res.SrcCells, sh.srcCells...)
 		srcBase += sh.srcN
-		sp.shapeHi = len(res.Shapes)
-		sp.deviceHi = len(res.Devices)
-		spans[c.Instances[i]] = sp
 	}
 	for _, cn := range core.CompositionConnectors(c, ca.instConns) {
 		res.Labels = append(res.Labels, NamedLabel{cn.Name, Label{cn.At, cn.Layer}})
@@ -255,67 +213,32 @@ func (ca *Cache) Flatten(c *core.Cell) (*Result, *Delta, error) {
 		res.Labels = append(res.Labels, shards[i].labels...)
 	}
 
-	// delta against the previous run
-	var delta *Delta
-	if ca.last != nil {
-		delta = &Delta{
-			Old:           ca.last,
-			ShapeMap:      make([]int32, len(res.Shapes)),
-			OldShapeGone:  make([]bool, len(ca.last.Shapes)),
-			DeviceMap:     make([]int32, len(res.Devices)),
-			OldDeviceGone: make([]bool, len(ca.last.Devices)),
+	// prune cache entries for instances no longer present; every live
+	// instance now has a shard entry, so only a larger map holds stale
+	// ones (connector entries are made and pruned alongside shards)
+	if len(ca.shards) > len(c.Instances) {
+		live := make(map[*core.Instance]bool, len(c.Instances))
+		for _, in := range c.Instances {
+			live[in] = true
 		}
-		for i := range delta.ShapeMap {
-			delta.ShapeMap[i] = -1
-		}
-		for i := range delta.DeviceMap {
-			delta.DeviceMap[i] = -1
-		}
-		for i := range delta.OldShapeGone {
-			delta.OldShapeGone[i] = true
-		}
-		for i := range delta.OldDeviceGone {
-			delta.OldDeviceGone[i] = true
-		}
-		for i, in := range c.Instances {
-			if !reused[i] {
-				continue
+		for in := range ca.shards {
+			if !live[in] {
+				delete(ca.shards, in)
 			}
-			old, ok := ca.spans[in]
-			if !ok {
-				continue
-			}
-			nw := spans[in]
-			for k := 0; k < nw.shapeHi-nw.shapeLo; k++ {
-				delta.ShapeMap[nw.shapeLo+k] = int32(old.shapeLo + k)
-				delta.OldShapeGone[old.shapeLo+k] = false
-			}
-			for k := 0; k < nw.deviceHi-nw.deviceLo; k++ {
-				delta.DeviceMap[nw.deviceLo+k] = int32(old.deviceLo + k)
-				delta.OldDeviceGone[old.deviceLo+k] = false
+		}
+		for in := range ca.conns {
+			if !live[in] {
+				delete(ca.conns, in)
 			}
 		}
 	}
-
-	// prune cache entries for instances no longer present
-	for in := range ca.shards {
-		if _, ok := spans[in]; !ok {
-			delete(ca.shards, in)
-		}
-	}
-	for in := range ca.conns {
-		if _, ok := spans[in]; !ok {
-			delete(ca.conns, in)
-		}
-	}
-	ca.last, ca.spans = res, spans
 	ssp.End()
 	if fsp != nil {
 		fsp.Note("reused", strconv.Itoa(ca.lastReused))
 		fsp.Note("reflattened", strconv.Itoa(ca.lastReflattened))
 		fsp.Note("disk", strconv.Itoa(ca.lastDiskLoaded))
 	}
-	return res, delta, nil
+	return res, nil
 }
 
 // Reset drops all cached state. Callers must Reset when cells inside
@@ -331,7 +254,7 @@ func (ca *Cache) Reset() { ca.reset() }
 // Store entries stay too; their content keys re-derive from the fresh
 // signatures.
 func (ca *Cache) reset() {
-	ca.cell, ca.shards, ca.last, ca.spans, ca.conns = nil, nil, nil, nil, nil
+	ca.cell, ca.shards, ca.conns = nil, nil, nil
 }
 
 // flattenInstance walks one instance into a fresh shard with

@@ -64,20 +64,20 @@ func sameResult(t *testing.T, step string, got, want *Result) {
 // TestCacheSpliceMatchesFullFlatten drives a composition through
 // random edits (move, create, delete, replicate, orient) and checks
 // after every edit that the cache's spliced Result is byte-identical
-// to a from-scratch walk, and that the Delta's maps are consistent
-// (mapped shapes identical, gone/mapped partitions exact).
+// to a from-scratch walk, and that its shard accounting covers every
+// instance exactly once.
 func TestCacheSpliceMatchesFullFlatten(t *testing.T) {
 	_, e := buildTop(t, 12)
 	top := e.Cell
 	ca := &Cache{}
 	rng := rand.New(rand.NewSource(17))
 
-	fr0, delta, err := ca.Flatten(top)
+	fr0, err := ca.Flatten(top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta != nil {
-		t.Fatal("first run must have no delta")
+	if reused, reflat := ca.Stats(); reused != 0 || reflat != len(top.Instances) {
+		t.Fatalf("first run: reused %d, reflattened %d; want 0, %d", reused, reflat, len(top.Instances))
 	}
 	full, err := Cell(top, Options{})
 	if err != nil {
@@ -85,7 +85,6 @@ func TestCacheSpliceMatchesFullFlatten(t *testing.T) {
 	}
 	sameResult(t, "initial", fr0, full)
 
-	prev := fr0
 	created := 0
 	for step := 0; step < 30; step++ {
 		switch op := rng.Intn(10); {
@@ -114,7 +113,7 @@ func TestCacheSpliceMatchesFullFlatten(t *testing.T) {
 			e.OrientInstance(top.Instances[rng.Intn(len(top.Instances))], geom.R90)
 		}
 
-		fr, delta, err := ca.Flatten(top)
+		fr, err := ca.Flatten(top)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,96 +123,60 @@ func TestCacheSpliceMatchesFullFlatten(t *testing.T) {
 		}
 		sameResult(t, fmt.Sprintf("step %d", step), fr, full)
 
-		if delta == nil {
-			t.Fatalf("step %d: no delta", step)
+		// one edit touches at most one instance; every other shard is
+		// reused
+		reused, reflat := ca.Stats()
+		if reused+reflat != len(top.Instances) {
+			t.Fatalf("step %d: reused %d + reflattened %d != %d instances", step, reused, reflat, len(top.Instances))
 		}
-		if delta.Old != prev {
-			t.Fatalf("step %d: delta.Old is not the previous result", step)
+		if reflat > 1 {
+			t.Fatalf("step %d: one edit re-flattened %d instances", step, reflat)
 		}
-		// mapped shapes must be identical (modulo occurrence renumber);
-		// the gone flags must complement the map exactly
-		seen := make([]bool, len(prev.Shapes))
-		for i, oi := range delta.ShapeMap {
-			if oi < 0 {
-				continue
-			}
-			if prev.Shapes[oi].Layer != fr.Shapes[i].Layer || prev.Shapes[oi].R != fr.Shapes[i].R {
-				t.Fatalf("step %d: mapped shape %d changed", step, i)
-			}
-			if delta.OldShapeGone[oi] {
-				t.Fatalf("step %d: mapped old shape %d flagged gone", step, oi)
-			}
-			if seen[oi] {
-				t.Fatalf("step %d: old shape %d mapped twice", step, oi)
-			}
-			seen[oi] = true
+		if len(ca.shards) != len(top.Instances) || len(ca.conns) > len(top.Instances) {
+			t.Fatalf("step %d: cache holds %d shards, %d connector lists for %d instances",
+				step, len(ca.shards), len(ca.conns), len(top.Instances))
 		}
-		for j, gone := range delta.OldShapeGone {
-			if !gone && !seen[j] {
-				t.Fatalf("step %d: old shape %d neither mapped nor gone", step, j)
-			}
-		}
-		for i, oi := range delta.DeviceMap {
-			if oi < 0 {
-				continue
-			}
-			// mapped devices keep their geometry; the occurrence id may
-			// renumber, like a shape's
-			od, nd := prev.Devices[oi], fr.Devices[i]
-			od.Src, nd.Src = 0, 0
-			if !reflect.DeepEqual(od, nd) {
-				t.Fatalf("step %d: mapped device %d changed", step, i)
-			}
-		}
-		prev = fr
 	}
 }
 
 // TestCacheReuseSkipsUnchangedInstances checks the cache actually
-// reuses shards: after one move, only the moved instance's shapes may
-// be unmapped.
+// reuses shards: after one move, only the moved instance re-walks.
 func TestCacheReuseSkipsUnchangedInstances(t *testing.T) {
 	_, e := buildTop(t, 9)
 	top := e.Cell
 	ca := &Cache{}
-	if _, _, err := ca.Flatten(top); err != nil {
+	if _, err := ca.Flatten(top); err != nil {
 		t.Fatal(err)
 	}
 	moved := top.Instances[4]
 	e.MoveInstance(moved, geom.Pt(7, 13))
-	fr, delta, err := ca.Flatten(top)
+	fr, err := ca.Flatten(top)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delta == nil {
-		t.Fatal("no delta after a single move")
+	if reused, reflat := ca.Stats(); reused != 8 || reflat != 1 {
+		t.Fatalf("after one move: reused %d, reflattened %d; want 8, 1", reused, reflat)
 	}
-	unmapped := 0
-	for _, oi := range delta.ShapeMap {
-		if oi < 0 {
-			unmapped++
-		}
+	full, err := Cell(top, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// the moved SRCELL contributes a small fraction of 9 cells' shapes
-	if unmapped == 0 || unmapped > len(fr.Shapes)/4 {
-		t.Fatalf("unmapped shapes = %d of %d; want only the moved instance's", unmapped, len(fr.Shapes))
-	}
+	sameResult(t, "after move", fr, full)
 }
 
-// TestCacheCellSwitchResets checks switching cells yields a fresh
-// (delta-less) run.
+// TestCacheCellSwitchResets checks switching cells starts over: no
+// shard of the previous cell is reused.
 func TestCacheCellSwitchResets(t *testing.T) {
 	_, e1 := buildTop(t, 4)
 	_, e2 := buildTop(t, 4)
 	ca := &Cache{}
-	if _, _, err := ca.Flatten(e1.Cell); err != nil {
+	if _, err := ca.Flatten(e1.Cell); err != nil {
 		t.Fatal(err)
 	}
-	_, delta, err := ca.Flatten(e2.Cell)
-	if err != nil {
+	if _, err := ca.Flatten(e2.Cell); err != nil {
 		t.Fatal(err)
 	}
-	if delta != nil {
-		t.Fatal("cell switch must reset the delta baseline")
+	if reused, reflat := ca.Stats(); reused != 0 || reflat != 4 {
+		t.Fatalf("cell switch: reused %d, reflattened %d; want 0, 4", reused, reflat)
 	}
 }

@@ -14,17 +14,17 @@ import (
 func TestCacheSingleSessionGuard(t *testing.T) {
 	_, e := buildTop(t, 4)
 	var ca Cache
-	if _, _, err := ca.Flatten(e.Cell); err != nil {
+	if _, err := ca.Flatten(e.Cell); err != nil {
 		t.Fatal(err)
 	}
 	// simulate a second session mid-flight
 	ca.busy = 1
-	_, _, err := ca.Flatten(e.Cell)
+	_, err := ca.Flatten(e.Cell)
 	if err == nil || !strings.Contains(err.Error(), "concurrently") {
 		t.Fatalf("concurrent entry not refused: %v", err)
 	}
 	ca.busy = 0
-	if _, _, err := ca.Flatten(e.Cell); err != nil {
+	if _, err := ca.Flatten(e.Cell); err != nil {
 		t.Fatalf("cache did not recover after the guard cleared: %v", err)
 	}
 }
@@ -35,7 +35,7 @@ func TestCacheSingleSessionGuard(t *testing.T) {
 func TestCacheOriginStability(t *testing.T) {
 	_, e := buildTop(t, 6)
 	var ca Cache
-	if _, _, err := ca.Flatten(e.Snapshot().Cell); err != nil {
+	if _, err := ca.Flatten(e.Snapshot().Cell); err != nil {
 		t.Fatal(err)
 	}
 	// a fresh generation's clone is a new pointer with the same origin
@@ -44,7 +44,7 @@ func TestCacheOriginStability(t *testing.T) {
 	if snap.Cell == e.Cell {
 		t.Fatal("composition snapshot should be a clone")
 	}
-	if _, _, err := ca.Flatten(snap.Cell); err != nil {
+	if _, err := ca.Flatten(snap.Cell); err != nil {
 		t.Fatal(err)
 	}
 	reused, _ := ca.Stats()

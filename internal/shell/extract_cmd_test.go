@@ -72,9 +72,6 @@ func TestShellVerifierAcrossEditorSessions(t *testing.T) {
 func TestShellVerifierReuse(t *testing.T) {
 	env := newEnv(t)
 	sh := env.sh
-	// this test pins the flat incremental splice path; the hierarchical
-	// engine would serve these runs whole (Incremental=false, honestly)
-	sh.Verifier.Hier = false
 	if err := sh.ExecAll(
 		"READ gate.sticks",
 		"EDIT TOP",
@@ -112,8 +109,8 @@ func TestShellVerifierReuse(t *testing.T) {
 	if rep3 == rep2 {
 		t.Error("edit must invalidate the cached report")
 	}
-	if !rep3.Incremental {
-		t.Error("post-edit verify must splice")
+	if st := sh.Verifier.Stats(); st.Hier != 2 || st.Full != 0 {
+		t.Errorf("both verifications must be answered hierarchically: %+v", st)
 	}
 	if rep3.Circuit.SameNet("a.OUT", "b.IN") {
 		t.Error("moved gate still shares a net")

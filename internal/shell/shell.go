@@ -42,8 +42,8 @@ type Shell struct {
 
 	// Verifier caches whole-design verification (EXTRACT, DRC, LVS)
 	// across edits, keyed on the editor's generation: re-running any of
-	// the commands after a small edit splices the previous run instead
-	// of recomputing the design.
+	// the commands after a small edit recomposes per-cell certificates
+	// instead of recomputing the design.
 	Verifier verify.Verifier
 
 	// LVS holds the netlist-comparison caches (memoized leaf-cell
@@ -94,17 +94,16 @@ type Shell struct {
 	quit bool
 }
 
-// New returns a shell over a fresh design. The verifier's hierarchical
-// path is on: DRC, EXTRACT and LVS verify per-distinct-cell
-// certificates instead of flattened copies whenever the engine can
-// prove the verdict identical (and fall back silently when it can't).
+// New returns a shell over a fresh design. DRC, EXTRACT and LVS verify
+// per-distinct-cell certificates instead of flattened copies whenever
+// the hierarchical engine can prove the verdict identical (and fall
+// back silently to a flat run when it can't).
 func New(out io.Writer) *Shell {
 	s := &Shell{
 		Design:  core.NewDesign(),
 		Out:     out,
 		Journal: replay.New(),
 	}
-	s.Verifier.Hier = true
 	s.initRegistry()
 	return s
 }

@@ -22,7 +22,6 @@ func (s *Shell) initRegistry() {
 		vs := s.Verifier.Stats()
 		return []obs.Item{
 			obs.N("cached", vs.Cached),
-			obs.N("spliced", vs.Spliced),
 			obs.N("full", vs.Full),
 			obs.N("hier", vs.Hier),
 			obs.N("hier_partial", vs.HierPartial),
@@ -117,7 +116,7 @@ func (s *Shell) Snapshot() *obs.Snapshot { return s.reg.Snapshot() }
 // the "is there anything to report" test behind riot -stats' exit code.
 func (s *Shell) VerifiedAny() bool {
 	vs := s.Verifier.Stats()
-	return vs.Cached+vs.Spliced+vs.Full+vs.Hier > 0
+	return vs.Cached+vs.Full+vs.Hier > 0
 }
 
 // SetTrace wires a span recorder through the whole session: the verify

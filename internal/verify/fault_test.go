@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"reflect"
 	"testing"
 
 	"riot/internal/castore"
@@ -22,16 +21,7 @@ func faultCheck(t *testing.T, v *Verifier, ed *core.Editor) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCkt, wantErr, wantVs := scratch(t, ed.Cell)
-	if (rep.CircuitErr == nil) != (wantErr == nil) {
-		t.Fatalf("circuit err %v vs scratch %v", rep.CircuitErr, wantErr)
-	}
-	if rep.CircuitErr == nil && !reflect.DeepEqual(rep.Circuit, wantCkt) {
-		t.Fatal("faulted circuit differs from scratch")
-	}
-	if !reflect.DeepEqual(rep.Violations, wantVs) {
-		t.Fatalf("faulted violations differ from scratch\ngot:  %v\nwant: %v", rep.Violations, wantVs)
-	}
+	sameAsScratch(t, "faulted", rep, ed.Cell)
 	return rep
 }
 
@@ -48,7 +38,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 			geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0); err != nil {
 			t.Fatal(err)
 		}
-		v := &Verifier{Hier: true}
+		v := &Verifier{}
 		f := faultinject.New()
 		f.Enable(faultinject.CertPend, "NAND")
 		v.InjectFaults(f)
@@ -64,7 +54,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 
 	t.Run("template-poison", func(t *testing.T) {
 		ed := gridEditor(t, 9)
-		v := &Verifier{Hier: true}
+		v := &Verifier{}
 		f := faultinject.New()
 		f.Enable(faultinject.TemplatePoison, "0")
 		v.InjectFaults(f)
@@ -87,7 +77,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := &Verifier{Hier: true}
+		v1 := &Verifier{}
 		v1.AttachDisk(st1, &castore.Signer{})
 		if _, err := v1.Verify(gridEditor(t, 9)); err != nil {
 			t.Fatal(err)
@@ -104,7 +94,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st2.Close()
-		v2 := &Verifier{Hier: true}
+		v2 := &Verifier{}
 		f := faultinject.New()
 		f.Enable(faultinject.CertDecode, "")
 		v2.InjectFaults(f)
@@ -126,7 +116,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := &Verifier{Hier: true}
+		v1 := &Verifier{}
 		v1.AttachDisk(st1, &castore.Signer{})
 		if _, err := v1.Verify(gridEditor(t, 9)); err != nil {
 			t.Fatal(err)
@@ -143,7 +133,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		f := faultinject.New()
 		f.Enable(faultinject.StoreCorrupt, "")
 		st2.Faults = f
-		v2 := &Verifier{Hier: true}
+		v2 := &Verifier{}
 		v2.AttachDisk(st2, &castore.Signer{})
 		faultCheck(t, v2, gridEditor(t, 9))
 		if f.Hits(faultinject.StoreCorrupt) == 0 {
@@ -156,7 +146,7 @@ func TestVerifierFaultMatrix(t *testing.T) {
 
 	t.Run("compose-budget", func(t *testing.T) {
 		ed := gridEditor(t, 9)
-		v := &Verifier{Hier: true}
+		v := &Verifier{}
 		f := faultinject.New()
 		f.Enable(faultinject.ComposeBudget, "")
 		v.InjectFaults(f)
@@ -164,9 +154,10 @@ func TestVerifierFaultMatrix(t *testing.T) {
 		if f.Hits(faultinject.ComposeBudget) == 0 {
 			t.Fatal("compose-budget fault armed but never fired")
 		}
-		// budget exhaustion declines whole: the flat pipeline serves
-		if st := v.Stats(); st.Hier != 0 || st.Full == 0 {
-			t.Fatalf("exhausted compose budget should fall back flat: %+v", st)
+		// budget exhaustion declines whole: one flat from-scratch run
+		// serves
+		if st := v.Stats(); st.Hier != 0 || st.Full != 1 {
+			t.Fatalf("exhausted compose budget should fall back to one flat run: %+v", st)
 		}
 		if d := v.HierDeclineInfo(); d == nil || d.Cond != hier.CondComposeBudget {
 			t.Fatalf("decline = %+v, want condition %s", d, hier.CondComposeBudget)
@@ -176,14 +167,14 @@ func TestVerifierFaultMatrix(t *testing.T) {
 
 // TestVerifierFaultMatrixUnderEdits runs a short editing trace with
 // pend and poison faults both armed — repeated partial runs across
-// splice generations must stay verdict-identical to scratch.
+// edit generations must stay verdict-identical to scratch.
 func TestVerifierFaultMatrixUnderEdits(t *testing.T) {
 	ed := gridEditor(t, 9)
 	if _, err := ed.CreateInstance("NAND", "n0",
 		geom.MakeTransform(geom.R0, geom.Pt(128*rules.Lambda, 0)), 1, 1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	v := &Verifier{Hier: true}
+	v := &Verifier{}
 	f := faultinject.New()
 	f.Enable(faultinject.CertPend, "NAND")
 	f.Enable(faultinject.TemplatePoison, "4")

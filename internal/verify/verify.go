@@ -1,20 +1,23 @@
-// Package verify is the incremental whole-design verification
-// pipeline: one Verifier bundles the three splicing caches — flattened
-// geometry (internal/flatten.Cache), extracted connectivity
-// (internal/extract.Incremental) and design-rule state
-// (internal/drc.Incremental) — and keys them on a core.Editor's edit
+// Package verify is the whole-design verification pipeline: one
+// Verifier answers "is the composition clean, and what does it
+// connect?" for a core.Editor's cell, keyed on the editor's edit
 // generation.
 //
 // The paper's workflow is edit, verify, edit: the designer abuts or
-// routes a cell, re-checks the whole composition, and moves on. A
-// from-scratch run repeats all the work for every keystroke even
-// though one edit disturbs a few rectangles. Verify instead asks the
-// editor what changed since the last run: unchanged instances keep
-// their flattened shards, untouched components replay their
-// connectivity and design-rule results, and only geometry near the
-// edit is re-derived. The spliced results are identical to
-// from-scratch runs — every splice layer is differential-tested — so
-// callers cannot observe the cache except as speed.
+// routes a cell, re-checks the whole composition, and moves on. Every
+// run goes through the hierarchical certificate engine
+// (internal/hier): each distinct (cell, orientation) is extracted and
+// design-rule checked once, and placements compose from those
+// certificates, so an edit re-derives only the cells and seams it
+// disturbed. When the engine declines a design, the run falls back to
+// the flat from-scratch engines — extract.SolveNets and drc.Check over
+// a flattened Result — which are also the oracle every hierarchical
+// answer is differential-tested against, so callers cannot observe
+// the path taken except as speed and in Stats.
+//
+// The flatten cache (internal/flatten.Cache) is kept across runs for
+// LVS: EnsureFlat materializes occurrence identity on demand, and an
+// edit re-walks only the instances it touched.
 //
 // A Verifier serves one session at a time and is not safe for
 // concurrent use — but it consumes frozen snapshots
@@ -47,13 +50,9 @@ type Report struct {
 	CircuitErr error
 	// Violations is the design-rule report, empty when clean.
 	Violations []drc.Violation
-	// Incremental reports whether any splice path ran (false on the
-	// first run, after Invalidate, or when the change log was
-	// exhausted).
-	Incremental bool
 	// Quarantined counts placements the hierarchical engine served by
 	// partial degradation (flat residue spliced into the composed
-	// remainder) rather than certificate composition; 0 for flat-path
+	// remainder) rather than certificate composition; 0 for fallback
 	// reports and clean hierarchical runs.
 	Quarantined int
 	// Gen is the editor generation the report describes.
@@ -62,7 +61,7 @@ type Report struct {
 	// LVS hierarchical-certificate path reads occurrence identity
 	// (per-device Src ids, SrcCells) from it to align the extracted
 	// circuit's transistors with the cells the composition declares.
-	// Reports from the hierarchical path leave it nil — no flattening
+	// Reports from the hierarchical engine leave it nil — no flattening
 	// happened — and Verifier.EnsureFlat populates it on demand.
 	Flat *flatten.Result
 }
@@ -74,12 +73,15 @@ func (r *Report) Clean() bool {
 }
 
 // Stats counts how a Verifier satisfied its runs: Cached (unchanged
-// generation, the report returned outright), Spliced (an incremental
-// splice ran) and Full (a from-scratch rebuild). Any number of edits
-// between two Verify calls coalesce into one delta, so a burst of N
-// edits costs one splice, not N — the batched-edit test pins that.
+// generation, the report returned outright), Hier (answered by the
+// hierarchical certificate engine) and Full (the engine declined; a
+// from-scratch flat run answered). Any number of edits between two
+// Verify calls coalesce into one run — the batched-edit test pins
+// that.
 type Stats struct {
-	Cached  int
+	Cached int
+	// Spliced is always 0. It is kept because the end-to-end
+	// benchmark (perfbench) reads it.
 	Spliced int
 	Full    int
 	// Hier counts runs answered by the hierarchical certificate engine
@@ -93,19 +95,10 @@ type Stats struct {
 // cell. The zero Verifier is ready to use.
 type Verifier struct {
 	cache flatten.Cache
-	ext   extract.Incremental
-	chk   drc.Incremental
-
-	// Hier routes runs through the hierarchical certificate engine
-	// first: each distinct (cell, orientation) extracts and DRC-checks
-	// once, placements compose, and the flat pipeline below never runs
-	// unless the engine declines. Off by default — the flat pipeline is
-	// the reference semantics; the shell turns it on.
-	Hier bool
-	eng  *hier.Engine
+	eng   *hier.Engine
 
 	// trace, when enabled, records the pipeline's span tree per run:
-	// one "verify" root with the flatten/extract/drc or hier children.
+	// one "verify" root with the hier or flatten/extract/drc children.
 	// SetTrace propagates it to every stage.
 	trace *obs.Trace
 
@@ -120,14 +113,12 @@ type Verifier struct {
 func (v *Verifier) Stats() Stats { return v.stats }
 
 // SetTrace wires a span recorder through the whole pipeline: the
-// verifier itself, the flatten cache, the extractor, the checker and
-// the hierarchical engine all record into t. nil detaches tracing
-// everywhere (the default, which costs nothing).
+// verifier itself (including the fallback's extract and drc stages),
+// the flatten cache and the hierarchical engine all record into t.
+// nil detaches tracing everywhere (the default, which costs nothing).
 func (v *Verifier) SetTrace(t *obs.Trace) {
 	v.trace = t
 	v.cache.Trace = t
-	v.ext.Trace = t
-	v.chk.Trace = t
 	v.engine().Trace = t
 }
 
@@ -163,7 +154,7 @@ func (v *Verifier) engine() *hier.Engine {
 func (v *Verifier) HierStats() hier.Stats { return v.engine().Stats() }
 
 // HierDecline reports why the most recent hierarchical attempt fell
-// back to the flat pipeline, or nil.
+// back to the flat from-scratch run, or nil.
 func (v *Verifier) HierDecline() error { return v.engine().LastDecline() }
 
 // HierDeclineInfo reports the structured decline record of the most
@@ -186,18 +177,19 @@ func (v *Verifier) FlattenStats() (reused, reflattened int) { return v.cache.Sta
 // Verify extracts and design-rule checks the editor's cell, through a
 // frozen snapshot of the editor's current generation (the editor may
 // keep mutating while the run proceeds). An unchanged generation
-// returns the cached report outright; a generation the editor's change
-// log still covers splices the caches; anything else (first run, log
-// exhausted, Invalidate) rebuilds from scratch and re-primes them.
+// returns the cached report outright; any other runs the hierarchical
+// engine, whose certificates for undisturbed cells carry over. A lost
+// change log (Invalidate, trimmed log) or a cell switch first drops
+// the pointer-keyed caches.
 func (v *Verifier) Verify(ed *core.Editor) (*Report, error) {
 	return v.VerifySnapshot(ed.Snapshot())
 }
 
 // VerifySnapshot is Verify against an explicit frozen generation.
 // Snapshot clones of one design cell share lineage (core.Cell.Origin),
-// so successive generations splice exactly as a live editor would:
-// unchanged instances keep their clone pointers and therefore their
-// shards.
+// so successive generations reuse caches exactly as a live editor
+// would: unchanged instances keep their clone pointers and therefore
+// their flatten shards.
 func (v *Verifier) VerifySnapshot(snap *core.Snapshot) (*Report, error) {
 	cell, gen := snap.Cell, snap.Gen
 	if v.have && v.cell == cell && v.gen == gen {
@@ -208,7 +200,6 @@ func (v *Verifier) VerifySnapshot(snap *core.Snapshot) (*Report, error) {
 		if _, ok := snap.ChangesSince(v.gen); !ok || v.cell.Origin() != cell.Origin() {
 			// tracking lost: unbounded change, trimmed log, or a cell
 			// switch — drop the flatten cache so no stale shard splices
-			// (the downstream caches reset themselves off the nil delta)
 			v.cache.Reset()
 			if !ok && v.eng != nil {
 				// an Invalidate can mean leaf cells mutated in place;
@@ -223,10 +214,10 @@ func (v *Verifier) VerifySnapshot(snap *core.Snapshot) (*Report, error) {
 	return v.run(cell, gen)
 }
 
-// VerifyCell verifies a cell outside any editor: a full, cache-priming
-// run. Subsequent Verify calls on an editor of the same cell splice
-// from it. Snapshot clones compare by lineage, so verifying successive
-// frozen generations of one design cell keeps the cache warm.
+// VerifyCell verifies a cell outside any editor, bypassing the
+// generation check. Snapshot clones compare by lineage, so verifying
+// successive frozen generations of one design cell keeps the caches
+// warm.
 func (v *Verifier) VerifyCell(cell *core.Cell) (*Report, error) {
 	if v.cell == nil || v.cell.Origin() != cell.Origin() {
 		v.cache.Reset()
@@ -240,31 +231,28 @@ func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
 	if sp != nil {
 		sp.Note("cell", cell.Name)
 	}
-	if v.Hier {
-		if rep, ok := v.runHier(cell, gen); ok {
-			return rep, nil
-		}
+	if rep, ok := v.runHier(cell, gen); ok {
+		return rep, nil
 	}
-	fr, delta, err := v.cache.Flatten(cell)
+	fr, err := v.cache.Flatten(cell)
 	if err != nil {
 		v.have = false
 		return nil, err
 	}
-	ckt, splicedCkt, cktErr := v.ext.Solve(fr, delta)
-	vs, splicedDRC := v.chk.Check(fr, delta)
-	if splicedCkt || splicedDRC {
-		v.stats.Spliced++
-	} else {
-		v.stats.Full++
-	}
+	esp := v.trace.Begin("extract")
+	ckt, _, cktErr := extract.SolveNets(fr)
+	esp.End()
+	dsp := v.trace.Begin("drc")
+	vs := drc.Check(fr)
+	dsp.End()
+	v.stats.Full++
 	v.cell, v.gen, v.have = cell, gen, true
 	v.report = &Report{
-		Circuit:     ckt,
-		CircuitErr:  cktErr,
-		Violations:  vs,
-		Incremental: splicedCkt || splicedDRC,
-		Gen:         gen,
-		Flat:        fr,
+		Circuit:    ckt,
+		CircuitErr: cktErr,
+		Violations: vs,
+		Gen:        gen,
+		Flat:       fr,
 	}
 	return v.report, nil
 }
@@ -301,12 +289,11 @@ func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
 	return v.report, true
 }
 
-// EnsureFlat populates rep.Flat for reports the hierarchical path
+// EnsureFlat populates rep.Flat for reports the hierarchical engine
 // produced without flattening. Only the verifier's current report can
 // be completed — the flatten cache tracks one design state. The
-// cache's own snapshot diffing keeps this safe to call at any time;
-// downstream splice caches guard on Result pointer identity, so a
-// flatten the solver never saw costs at most one full re-solve later.
+// cache's per-instance placement keys keep this safe to call at any
+// time: only instances edited since the last flatten re-walk.
 func (v *Verifier) EnsureFlat(rep *Report) error {
 	if rep.Flat != nil {
 		return nil
@@ -314,7 +301,7 @@ func (v *Verifier) EnsureFlat(rep *Report) error {
 	if rep != v.report {
 		return errors.New("verify: EnsureFlat on a stale report")
 	}
-	fr, _, err := v.cache.Flatten(v.cell)
+	fr, err := v.cache.Flatten(v.cell)
 	if err != nil {
 		return err
 	}

@@ -8,20 +8,25 @@ import (
 
 	"riot/internal/castore"
 	"riot/internal/core"
+	"riot/internal/flatten"
 	"riot/internal/geom"
 	"riot/internal/hier"
 	"riot/internal/lib"
 	"riot/internal/rules"
 )
 
-// TestHierVerifierMatchesScratchUnderEdits is the hierarchical
-// end-to-end differential: with Hier on, random editor operations must
-// produce reports identical to the cache-free flat pipeline whether
-// the certificate engine served the run or declined into the flat
-// path — the fallback must be observable only through Stats.
+// TestHierVerifierMatchesScratchUnderEdits is the store-backed
+// end-to-end differential: with a shared content-addressed store
+// attached (certificates and flatten shards round-trip through it),
+// random editor operations must produce reports identical to the
+// cache-free flat pipeline whether the certificate engine served the
+// run or declined into the flat fallback — the path must be observable
+// only through Stats — and EnsureFlat's spliced geometry must equal a
+// from-scratch flatten after every edit.
 func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 	e := gridEditor(t, 10)
-	v := &Verifier{Hier: true}
+	v := &Verifier{}
+	v.AttachDisk(castore.NewMem(), &castore.Signer{})
 	rng := rand.New(rand.NewSource(1982))
 
 	compare := func(step int) {
@@ -42,6 +47,16 @@ func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 		}
 		if rep.Gen != e.Generation() {
 			t.Fatalf("step %d: report generation %d, editor %d", step, rep.Gen, e.Generation())
+		}
+		if err := v.EnsureFlat(rep); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		want, err := flatten.Cell(e.Cell, flatten.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Flat.Shapes, want.Shapes) || !reflect.DeepEqual(rep.Flat.Devices, want.Devices) {
+			t.Fatalf("step %d: EnsureFlat geometry differs from a fresh flatten", step)
 		}
 	}
 
@@ -87,7 +102,7 @@ func TestHierVerifierMatchesScratchUnderEdits(t *testing.T) {
 // EnsureFlat fills it in, and a superseded report refuses.
 func TestHierVerifierEnsureFlat(t *testing.T) {
 	e := gridEditor(t, 6)
-	v := &Verifier{Hier: true}
+	v := &Verifier{}
 	rep, err := v.Verify(e)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +149,7 @@ func TestHierVerifierLeafFallsBack(t *testing.T) {
 	if !ok {
 		t.Fatal("no NAND in the library")
 	}
-	v := &Verifier{Hier: true}
+	v := &Verifier{}
 	rep, err := v.VerifyCell(cell)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +183,7 @@ func TestHierVerifierWarmRestart(t *testing.T) {
 		}
 		t.Cleanup(func() { st.Close() })
 		e := gridEditor(t, 12)
-		v := &Verifier{Hier: true}
+		v := &Verifier{}
 		v.AttachDisk(st, &castore.Signer{})
 		rep, err := v.Verify(e)
 		return rep, v.Stats(), v.HierStats(), err

@@ -9,8 +9,10 @@ import (
 	"riot/internal/core"
 	"riot/internal/drc"
 	"riot/internal/extract"
+	"riot/internal/faultinject"
 	"riot/internal/geom"
 	"riot/internal/lib"
+	"riot/internal/obs"
 	"riot/internal/rules"
 )
 
@@ -107,11 +109,31 @@ func TestVerifierMatchesScratchUnderEdits(t *testing.T) {
 		}
 		compare(step)
 	}
+	if st := v.Stats(); st.Hier == 0 {
+		t.Errorf("hierarchical engine never answered a run: %+v", st)
+	}
+}
+
+// sameAsScratch requires rep to equal the cache-free flat pipeline's
+// verdict on cell.
+func sameAsScratch(t *testing.T, what string, rep *Report, cell *core.Cell) {
+	t.Helper()
+	wantCkt, wantErr, wantVs := scratch(t, cell)
+	if (rep.CircuitErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: circuit err %v vs scratch %v", what, rep.CircuitErr, wantErr)
+	}
+	if rep.CircuitErr == nil && !reflect.DeepEqual(rep.Circuit, wantCkt) {
+		t.Errorf("%s: circuit differs from scratch", what)
+	}
+	if !reflect.DeepEqual(rep.Violations, wantVs) {
+		t.Errorf("%s: violations differ from scratch\ngot:  %v\nwant: %v", what, rep.Violations, wantVs)
+	}
 }
 
 // TestVerifierCachesByGeneration checks the generation fast path (same
-// report pointer back) and that edits invalidate it via the splice
-// path.
+// report pointer back), that a zero-value Verifier answers through the
+// hierarchical engine, and that a whole decline falls back to one flat
+// from-scratch run with the oracle's verdict.
 func TestVerifierCachesByGeneration(t *testing.T) {
 	e := gridEditor(t, 6)
 	v := &Verifier{}
@@ -119,8 +141,11 @@ func TestVerifierCachesByGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Incremental {
-		t.Error("first run must not be incremental")
+	if st := v.Stats(); st.Hier != 1 || st.Full != 0 {
+		t.Fatalf("clean grid not answered hierarchically: %+v", st)
+	}
+	if r1.Flat != nil {
+		t.Error("hierarchical report must not carry flattened geometry")
 	}
 	r2, err := v.Verify(e)
 	if err != nil {
@@ -128,6 +153,9 @@ func TestVerifierCachesByGeneration(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Error("unchanged generation must return the cached report")
+	}
+	if st := v.Stats(); st.Cached != 1 {
+		t.Errorf("cached runs = %d, want 1", st.Cached)
 	}
 	e.MoveInstance(e.Cell.Instances[0], geom.Pt(rules.Lambda, 0))
 	r3, err := v.Verify(e)
@@ -137,53 +165,82 @@ func TestVerifierCachesByGeneration(t *testing.T) {
 	if r3 == r2 {
 		t.Error("edit did not invalidate the cached report")
 	}
-	if !r3.Incremental {
-		t.Error("post-edit verify must splice")
+	if st := v.Stats(); st.Hier != 2 || st.Full != 0 {
+		t.Errorf("post-edit verify not answered hierarchically: %+v", st)
 	}
+	sameAsScratch(t, "post-edit", r3, e.Cell)
+
+	// a whole decline (the composition budget forced to run out) falls
+	// back to the flat from-scratch engines
+	f := faultinject.New()
+	f.Enable(faultinject.ComposeBudget, "")
+	v.InjectFaults(f)
+	v.SetLog(obs.Discard)
+	e.MoveInstance(e.Cell.Instances[0], geom.Pt(-rules.Lambda, 0))
+	r4, err := v.Verify(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Hits(faultinject.ComposeBudget) == 0 {
+		t.Fatal("compose-budget fault armed but never fired")
+	}
+	if st := v.Stats(); st.Hier != 2 || st.Full != 1 {
+		t.Fatalf("declined verify not answered by one flat run: %+v", st)
+	}
+	if r4.Flat == nil {
+		t.Error("fallback report must carry its flattened geometry")
+	}
+	sameAsScratch(t, "fallback", r4, e.Cell)
 }
 
-// TestVerifierInvalidateRebuilds checks Invalidate forces a full,
-// correct rebuild.
+// TestVerifierInvalidateRebuilds checks Invalidate drops the
+// pointer-keyed caches and the next run is still correct.
 func TestVerifierInvalidateRebuilds(t *testing.T) {
 	e := gridEditor(t, 6)
 	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
+	rep, err := v.Verify(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.EnsureFlat(rep); err != nil {
 		t.Fatal(err)
 	}
 	// mutate behind the editor's back, then announce it
 	in := e.Cell.Instances[2]
 	in.Tr = in.Tr.Translated(geom.Pt(50*rules.Lambda, 0))
 	e.Invalidate()
+	rep, err = v.Verify(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(); st.Hier != 2 || st.Full != 0 {
+		t.Errorf("post-Invalidate verify not answered hierarchically: %+v", st)
+	}
+	if err := v.EnsureFlat(rep); err != nil {
+		t.Fatal(err)
+	}
+	if reused, reflat := v.FlattenStats(); reused != 0 || reflat != len(e.Cell.Instances) {
+		t.Errorf("post-Invalidate flatten reused %d shards, re-walked %d; want 0, %d",
+			reused, reflat, len(e.Cell.Instances))
+	}
+	sameAsScratch(t, "post-Invalidate", rep, e.Cell)
+}
+
+// TestVerifierBatchesEditsIntoOneSplice pins the coalesced-edit
+// contract: any number of edits between two Verify calls cost exactly
+// one run, and only the instances the edits touched re-flatten.
+func TestVerifierBatchesEditsIntoOneSplice(t *testing.T) {
+	e := gridEditor(t, 12)
+	v := &Verifier{}
 	rep, err := v.Verify(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Incremental {
-		t.Error("post-Invalidate verify must rebuild from scratch")
-	}
-	wantCkt, wantErr, wantVs := scratch(t, e.Cell)
-	if (rep.CircuitErr == nil) != (wantErr == nil) {
-		t.Fatalf("circuit err mismatch: %v vs %v", rep.CircuitErr, wantErr)
-	}
-	if rep.CircuitErr == nil && !reflect.DeepEqual(rep.Circuit, wantCkt) {
-		t.Error("post-Invalidate circuit differs from scratch")
-	}
-	if !reflect.DeepEqual(rep.Violations, wantVs) {
-		t.Error("post-Invalidate violations differ from scratch")
-	}
-}
-
-// TestVerifierBatchesEditsIntoOneSplice pins the coalesced-delta
-// contract: any number of edits between two Verify calls cost exactly
-// one splice, and only the instances the edits touched re-flatten.
-func TestVerifierBatchesEditsIntoOneSplice(t *testing.T) {
-	e := gridEditor(t, 12)
-	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
-		t.Fatal(err)
-	}
-	if st := v.Stats(); st.Full != 1 || st.Spliced != 0 {
+	if st := v.Stats(); st.Hier != 1 || st.Full != 0 {
 		t.Fatalf("after priming: stats = %+v", st)
+	}
+	if err := v.EnsureFlat(rep); err != nil {
+		t.Fatal(err)
 	}
 
 	// a burst of edits on two instances: four moves, only two distinct
@@ -195,47 +252,40 @@ func TestVerifierBatchesEditsIntoOneSplice(t *testing.T) {
 	e.MoveInstance(a, geom.Pt(rules.Lambda, 0))
 	e.MoveInstance(b, geom.Pt(0, rules.Lambda))
 
-	rep, err := v.Verify(e)
+	rep, err = v.Verify(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Incremental {
-		t.Fatal("batched verify fell back to a full run")
+	if st := v.Stats(); st.Hier != 2 || st.Full != 0 {
+		t.Fatalf("four edits did not coalesce into one run: stats = %+v", st)
 	}
-	if st := v.Stats(); st.Spliced != 1 || st.Full != 1 {
-		t.Fatalf("five edits did not coalesce into one splice: stats = %+v", st)
+	if err := v.EnsureFlat(rep); err != nil {
+		t.Fatal(err)
 	}
 	if reused, reflat := v.FlattenStats(); reflat != 2 || reused != 10 {
 		t.Fatalf("re-flattened %d instances (reused %d), want exactly the 2 touched", reflat, reused)
 	}
-
-	// the spliced report equals scratch
-	ckt, cktErr, vs := scratch(t, e.Cell)
-	if (cktErr == nil) != (rep.CircuitErr == nil) {
-		t.Fatalf("extraction error mismatch: %v vs %v", rep.CircuitErr, cktErr)
-	}
-	if cktErr == nil && !reflect.DeepEqual(ckt, rep.Circuit) {
-		t.Error("spliced circuit differs from scratch after batched edits")
-	}
-	if !reflect.DeepEqual(vs, rep.Violations) {
-		t.Error("spliced violations differ from scratch after batched edits")
-	}
+	sameAsScratch(t, "batched edits", rep, e.Cell)
 }
 
 // TestVerifierChangeLogFloodRebuilds pins the change-log truncation
 // contract end to end: a burst of edits deep enough to trim the
 // editor's bounded change log must make ChangesSince report ok=false
 // for the verifier's old generation — never a silently partial dirty
-// set — and the verifier must respond with a full rebuild whose report
-// still matches the cache-free pipeline exactly.
+// set — and the verifier must respond by dropping its pointer-keyed
+// caches, with a report that still matches the cache-free pipeline
+// exactly.
 func TestVerifierChangeLogFloodRebuilds(t *testing.T) {
 	e := gridEditor(t, 9)
 	v := &Verifier{}
-	if _, err := v.Verify(e); err != nil {
+	rep0, err := v.Verify(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.EnsureFlat(rep0); err != nil {
 		t.Fatal(err)
 	}
 	oldGen := e.Generation()
-	full0 := v.Stats().Full
 
 	// flood: well past the log bound, jogging one instance back and
 	// forth (net displacement zero, so the final geometry equals a
@@ -265,20 +315,16 @@ func TestVerifierChangeLogFloodRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Incremental {
-		t.Error("flooded verify claimed an incremental splice; must rebuild from scratch")
+	if st := v.Stats(); st.Hier != 2 || st.Full != 0 {
+		t.Errorf("flooded verify not answered hierarchically: %+v", st)
 	}
-	if got := v.Stats().Full; got != full0+1 {
-		t.Errorf("full rebuilds = %d, want %d", got, full0+1)
+	// the lost log dropped the flatten cache: every shard re-walks
+	if err := v.EnsureFlat(rep); err != nil {
+		t.Fatal(err)
 	}
-	wantCkt, wantErr, wantVs := scratch(t, e.Cell)
-	if (rep.CircuitErr == nil) != (wantErr == nil) {
-		t.Fatalf("circuit error mismatch: %v vs %v", rep.CircuitErr, wantErr)
+	if reused, reflat := v.FlattenStats(); reused != 0 || reflat != len(e.Cell.Instances) {
+		t.Errorf("flooded flatten reused %d shards, re-walked %d; want 0, %d",
+			reused, reflat, len(e.Cell.Instances))
 	}
-	if !reflect.DeepEqual(rep.Circuit, wantCkt) {
-		t.Error("flooded rebuild circuit differs from scratch")
-	}
-	if !reflect.DeepEqual(rep.Violations, wantVs) {
-		t.Error("flooded rebuild violations differ from scratch")
-	}
+	sameAsScratch(t, "flooded rebuild", rep, e.Cell)
 }
