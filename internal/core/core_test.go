@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"riot/internal/cif"
@@ -176,6 +178,40 @@ func TestArrayConnectorExposure(t *testing.T) {
 	// array abuts: copy 1's IN position equals copy 0's OUT position
 	if in.BBox() != geom.R(0, 0, 60*L, 10*L) {
 		t.Errorf("array bbox = %v", in.BBox())
+	}
+}
+
+// TestArrayConnectorsRimOnly pins the rim walk of Instance.Connectors
+// against the definition it shortcuts: every copy's connectors, kept
+// where the copy faces the array's outside, in copy-major order.
+func TestArrayConnectorsRimOnly(t *testing.T) {
+	d, e := newEditor(t)
+	addLeaf(t, d, "A")
+	shapes := [][2]int{{1, 1}, {1, 5}, {5, 1}, {2, 2}, {3, 4}, {5, 5}, {2, 7}}
+	for k, sh := range shapes {
+		for _, o := range []geom.Orient{geom.R0, geom.R90, geom.MX} {
+			name := fmt.Sprintf("a%d_%v", k, o)
+			in, err := e.CreateInstance("A", name, geom.MakeTransform(o, geom.Pt(0, 0)), sh[0], sh[1], 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []InstConn
+			for i := 0; i < in.Nx; i++ {
+				for j := 0; j < in.Ny; j++ {
+					ct := in.CopyTransform(i, j)
+					for _, cn := range in.Cell.Connectors() {
+						if in.IsArray() && !onArrayEdge(cn.Side, i, j, in.Nx, in.Ny) {
+							continue
+						}
+						want = append(want, InstConn{Inst: in, Name: arrayName(cn.Name, i, j, in.Nx, in.Ny),
+							At: ct.Apply(cn.At), Layer: cn.Layer, Width: cn.Width, Side: cn.Side.Transform(o)})
+					}
+				}
+			}
+			if got := in.Connectors(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%dx%d %v: connectors\n got %v\nwant %v", sh[0], sh[1], o, got, want)
+			}
+		}
 	}
 }
 

@@ -86,9 +86,14 @@ func (in *Instance) Connectors() []InstConn {
 	var out []InstConn
 	for i := 0; i < in.Nx; i++ {
 		for j := 0; j < in.Ny; j++ {
+			// only the array's rim shows connectors: jump across the
+			// interior of an inner column
+			if in.IsArray() && i > 0 && i < in.Nx-1 && j > 0 && j < in.Ny-1 {
+				j = in.Ny - 2
+				continue
+			}
 			ct := in.copyTransform(i, j)
 			for _, cn := range cellConns {
-				side := cn.Side.Transform(in.Tr.O)
 				if in.IsArray() && !onArrayEdge(cn.Side, i, j, in.Nx, in.Ny) {
 					continue
 				}
@@ -98,7 +103,7 @@ func (in *Instance) Connectors() []InstConn {
 					At:    ct.Apply(cn.At),
 					Layer: cn.Layer,
 					Width: cn.Width,
-					Side:  side,
+					Side:  cn.Side.Transform(in.Tr.O),
 				})
 			}
 		}

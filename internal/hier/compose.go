@@ -57,8 +57,10 @@ func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 // compose runs the exact composition over a placed occurrence list:
 // interacting pairs via one spatial query per occurrence, memoized
 // pair templates, a global union-find over local nets, context
-// resolution for the certificates' deferred joins, and the composed
-// DRC verdict.
+// resolution for the certificates' deferred joins, and — with
+// checkRules set — the composed DRC verdict. Without it the state
+// carries the net partition only: materializing a fast-path verdict's
+// netlist needs nothing else, the verdict being already known.
 //
 // When allowPartial is set, per-placement decline conditions — a pend
 // certificate, a fragmentation-poison pair — quarantine the offending
@@ -68,7 +70,7 @@ func neg(p geom.Point) geom.Point { return geom.Pt(-p.X, -p.Y) }
 // whole-run conditions (quarantine set over budget, compose-budget
 // exhaustion, an unresolvable quarantined device terminal) return an
 // error, always a *Decline.
-func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
+func (e *Engine) compose(occs []placed, allowPartial, checkRules bool) (*genState, error) {
 	csp := e.Trace.Begin("compose")
 	defer csp.End()
 	if csp != nil {
@@ -114,6 +116,8 @@ func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
 	// unions would then be stale.
 	work := 0
 	var cand []int
+	// a lattice pairs each copy with about four later neighbours
+	st.pairs = make([]pairRef, 0, 4*len(occs))
 	for u := range occs {
 		cand = cand[:0]
 		ix.QueryRect(occs[u].mat.Inset(-reach), func(v int) bool {
@@ -268,6 +272,9 @@ func (e *Engine) compose(occs []placed, allowPartial bool) (*genState, error) {
 		}
 	}
 	st.netOf, st.netCount = netOf, n
+	if !checkRules {
+		return st, nil
+	}
 
 	wsp := csp.Child("width")
 	e.composeWidth(st)
@@ -374,16 +381,15 @@ func (e *Engine) composeWidth(st *genState) {
 // signatures across thousands of windows.
 func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip geom.Rect, du geom.Point, wocc []int) []geom.Rect {
 	winRel := win.Translate(neg(du))
-	key := make([]byte, 0, 64)
-	key = appendInts(key, len(l))
+	key := appendInts(e.keyBuf[:0], len(l))
 	key = append(key, l...)
 	key = appendInts(key, winRel.Min.X, winRel.Min.Y, winRel.Max.X, winRel.Max.Y)
 	for _, w := range wocc {
 		o := &st.occs[w]
 		key = appendInts(key, o.cert.id, o.d.X-du.X, o.d.Y-du.Y)
 	}
-	ks := string(key)
-	if rel, ok := e.winMemo[ks]; ok {
+	e.keyBuf = key
+	if rel, ok := e.winMemo[string(key)]; ok {
 		return rel
 	}
 	var local []geom.Rect
@@ -406,7 +412,7 @@ func (e *Engine) windowPieces(st *genState, l geom.Layer, minW int, win, clip ge
 			rel = append(rel, c)
 		}
 	}
-	e.winMemo[ks] = rel
+	e.winMemo[string(key)] = rel
 	return rel
 }
 

@@ -72,6 +72,10 @@ type Engine struct {
 	// occupant pattern relative to the pair's first occurrence) — a
 	// lattice repeats a handful of patterns across thousands of pairs.
 	winMemo map[string][]geom.Rect
+	// keyBuf is the reused scratch buffer window keys are built in.
+	keyBuf []byte
+	// tmplRecent caches the most recent template per delta slot.
+	tmplRecent [8]tmplSlot
 	// lastDecline records why the most recent Verify declined (nil when
 	// it succeeded): fallback diagnostics for -stats and tests.
 	lastDecline *Decline
@@ -221,6 +225,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) ResetMemo() {
 	e.memo = map[certKey]*Cert{}
 	e.tmpl = map[tmplKey]*template{}
+	e.tmplRecent = [len(e.tmplRecent)]tmplSlot{}
 	e.winMemo = map[string][]geom.Rect{}
 }
 
@@ -253,7 +258,7 @@ func (e *Engine) Verify(top *core.Cell) (*Result, bool) {
 		e.stats.FastRuns++
 		return r, true
 	}
-	st, err := e.generalTop(top)
+	st, err := e.generalTop(top, true)
 	if err != nil {
 		e.declined(declineOf(err))
 		return nil, false
@@ -361,6 +366,23 @@ func (e *Engine) walk(c *core.Cell, tr geom.Transform, occs []placed) ([]placed,
 	}
 	var err error
 	for _, in := range c.Instances {
+		if in.Cell.Kind != core.Composition {
+			// a leaf array: one orientation, copies a lattice step apart
+			t0 := in.CopyTransform(0, 0).Then(tr)
+			vx, vy := t0.O.Apply(geom.Pt(in.Sx, 0)), t0.O.Apply(geom.Pt(0, in.Sy))
+			for i := 0; i < in.Nx; i++ {
+				for j := 0; j < in.Ny; j++ {
+					// per copy, as the memo counts a hit per placement
+					ct, err := e.cert(in.Cell, t0.O)
+					if err != nil {
+						return nil, err
+					}
+					d := t0.D.Add(geom.Pt(i*vx.X+j*vy.X, i*vx.Y+j*vy.Y))
+					occs = append(occs, placedAt(ct, d))
+				}
+			}
+			continue
+		}
 		for i := 0; i < in.Nx; i++ {
 			for j := 0; j < in.Ny; j++ {
 				occs, err = e.walk(in.Cell, in.CopyTransform(i, j).Then(tr), occs)
@@ -382,15 +404,36 @@ func placedAt(ct *Cert, d geom.Point) placed {
 	}
 }
 
-// generalTop runs the exact O(placements) composition for a top cell.
-func (e *Engine) generalTop(top *core.Cell) (*genState, error) {
+// generalTop runs the exact O(placements) composition for a top cell,
+// with the DRC verdict when checkRules is set.
+func (e *Engine) generalTop(top *core.Cell, checkRules bool) (*genState, error) {
 	wsp := e.Trace.Begin("certs")
-	occs, err := e.walk(top, geom.Identity, nil)
+	occs, err := e.walk(top, geom.Identity, make([]placed, 0, placements(top)))
 	wsp.End()
 	if err != nil {
 		return nil, &Decline{Cond: CondCertBuild, Placement: -1, Err: err}
 	}
-	return e.compose(occs, true)
+	return e.compose(occs, true, checkRules)
+}
+
+// maxPrealloc caps the occurrence list generalTop reserves up front;
+// a larger design grows it as it walks.
+const maxPrealloc = 1 << 20
+
+// placements counts the leaf occurrences walk collects under c,
+// saturating at maxPrealloc.
+func placements(c *core.Cell) int {
+	if c.Kind != core.Composition {
+		return 1
+	}
+	n := 0
+	for _, in := range c.Instances {
+		n += min(in.Nx*in.Ny, maxPrealloc) * placements(in.Cell)
+		if n >= maxPrealloc {
+			return maxPrealloc
+		}
+	}
+	return n
 }
 
 // layersOf returns the union of the occurrences' checked layers in
@@ -399,6 +442,9 @@ func layersOf(occs []placed) []geom.Layer {
 	seen := map[geom.Layer]bool{}
 	var out []geom.Layer
 	for i := range occs {
+		if i > 0 && occs[i].cert == occs[i-1].cert {
+			continue // same layers as the previous copy
+		}
 		for _, l := range occs[i].cert.D.Layers {
 			if !seen[l] {
 				seen[l] = true

@@ -139,7 +139,7 @@ func (e *Engine) fast(top *core.Cell) (*Result, bool, error) {
 				occs = append(occs, placedAt(ct, d))
 			}
 		}
-		return e.compose(occs, false)
+		return e.compose(occs, false, true)
 	}
 	sampleErr := func(err error) (bool, error) {
 		if d, ok := err.(*Decline); ok && (d.Cond == CondPend || d.Cond == CondPoison) {

@@ -85,6 +85,11 @@ func mustMatch(t *testing.T, e *Engine, c *core.Cell, label string) bool {
 	if !reflect.DeepEqual(ckt, wantCkt) {
 		t.Fatalf("%s: hier circuit differs from flat\nhier: %+v\nflat: %+v", label, ckt, wantCkt)
 	}
+	// materializing a fast-path verdict composes connectivity only; the
+	// verdict it already gave stands
+	if !reflect.DeepEqual(res.Violations, wantVs) {
+		t.Fatalf("%s: violations changed by materialization: %v, flat %v", label, res.Violations, wantVs)
+	}
 	return true
 }
 

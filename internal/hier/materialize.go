@@ -1,17 +1,21 @@
 package hier
 
 import (
+	"riot/internal/core"
 	"riot/internal/extract"
-	"riot/internal/flatten"
 	"riot/internal/geom"
 )
 
 // Circuit materializes the full netlist for a verdict: every
 // occurrence's devices renumbered into the composed dense net space,
 // plus the label map resolved in flat order. Fast-path verdicts run
-// the exact general composition on demand first — materialization is
-// O(placed copies), which is exactly the cost the fast path exists to
-// avoid, so it only happens when a caller actually needs the netlist.
+// the exact general composition's connectivity on demand first —
+// materialization is O(placed copies), which is exactly the cost the
+// fast path exists to avoid, so it only happens when a caller actually
+// needs the netlist. The rule checks are not re-run: the fast path's
+// verdict is exact. A composition that declines here (a compose budget
+// the samples fit but the full array does not) is recorded like any
+// engine decline.
 func (r *Result) Circuit() (*extract.Circuit, error) {
 	if r.ckt != nil {
 		return r.ckt, nil
@@ -19,16 +23,17 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	st := r.gen
 	if st == nil {
 		var err error
-		st, err = r.e.generalTop(r.top)
+		st, err = r.e.generalTop(r.top, false)
 		if err != nil {
-			return nil, err
+			d := declineOf(err)
+			r.e.declined(d)
+			return nil, d
 		}
 		r.gen = st
-		// The general path is exact; its verdict supersedes the fitted
-		// one (they agree whenever the fit's verification held).
+		// The general path is exact; its counts supersede the fitted
+		// ones (they agree whenever the fit's verification held).
 		r.NetCount = st.netCount
 		r.DeviceCount = st.deviceCount()
-		r.Violations = st.violations
 		if st.quar != nil {
 			r.Quarantined = len(st.quar.occOf)
 		}
@@ -39,6 +44,9 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 	// their group span's globally-resolved terminals. Both interleave
 	// in global occurrence order, which is the flat device order.
 	ckt := &extract.Circuit{NetCount: st.netCount, NetOf: map[string]int{}}
+	if n := st.deviceCount(); n > 0 {
+		ckt.Transistors = make([]extract.Transistor, 0, n)
+	}
 	for i := range st.occs {
 		o := &st.occs[i]
 		if st.inQ(i) {
@@ -74,12 +82,23 @@ func (r *Result) Circuit() (*extract.Circuit, error) {
 			ckt.NetOf[name] = int(n)
 		}
 	}
-	for _, cn := range r.top.Connectors() {
+	// Both passes read every instance's connectors; derive them once.
+	// The second names them "inst.CONN", as flatten labels instances.
+	conns := make(map[*core.Instance][]core.InstConn, len(r.top.Instances))
+	instConns := func(in *core.Instance) []core.InstConn {
+		ics, ok := conns[in]
+		if !ok {
+			ics = in.Connectors()
+			conns[in] = ics
+		}
+		return ics
+	}
+	for _, cn := range core.CompositionConnectors(r.top, instConns) {
 		set(cn.Name, cn.At, cn.Layer)
 	}
 	for _, in := range r.top.Instances {
-		for _, nl := range flatten.InstanceLabels(in) {
-			set(nl.Name, nl.At, nl.Layer)
+		for _, ic := range instConns(in) {
+			set(in.Name+"."+ic.Name, ic.At, ic.Layer)
 		}
 	}
 	r.ckt = ckt

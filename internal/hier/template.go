@@ -16,6 +16,11 @@ type tmplKey struct {
 	dx, dy int
 }
 
+type tmplSlot struct {
+	k tmplKey
+	t *template
+}
+
 type template struct {
 	// poison: a gate of one cell overlaps the other's diffusion with
 	// positive area, so the pair's fragmentation differs from the
@@ -44,13 +49,22 @@ type template struct {
 // at delta (in cu's local frame).
 func (e *Engine) template(cu, cv *Cert, delta geom.Point) *template {
 	k := tmplKey{cu, cv, delta.X, delta.Y}
-	if t, ok := e.tmpl[k]; ok {
+	// successive pairs of a lattice cycle through a few deltas: a small
+	// direct-mapped cache in front of the memo skips hashing the key
+	slot := &e.tmplRecent[uint(k.dx*31+k.dy)%uint(len(e.tmplRecent))]
+	if slot.t != nil && slot.k == k {
 		e.stats.TemplateHits++
-		return t
+		return slot.t
 	}
-	t := buildTemplate(cu, cv, delta)
-	e.tmpl[k] = t
-	e.stats.TemplateBuilt++
+	t, ok := e.tmpl[k]
+	if ok {
+		e.stats.TemplateHits++
+	} else {
+		t = buildTemplate(cu, cv, delta)
+		e.tmpl[k] = t
+		e.stats.TemplateBuilt++
+	}
+	slot.k, slot.t = k, t
 	return t
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"riot/internal/geom"
+	"riot/internal/verify"
 )
 
 // TestReferenceSingleSessionGuard pins the ownership contract: a
@@ -58,5 +59,58 @@ func TestReferencePruneStale(t *testing.T) {
 	}
 	if ref == nil {
 		t.Fatal("nil reference after prune")
+	}
+}
+
+// TestReferenceMemoFlatUnderEdits pins the edit-loop memory bound: on a
+// placed grid, edit+LVS generations leave the reference memo and its
+// instance maps the same size whatever the number of generations. A
+// superseded generation's stitched entry is dropped on the next call,
+// not once the memo outgrows the bloat gate.
+func TestReferenceMemoFlatUnderEdits(t *testing.T) {
+	e := gridEditor(t, 4) // 16 instances: bloat gate 2*16+64 = 96
+	var inc Incremental
+	var v verify.Verifier
+	sizes := func() [3]int { return [3]int{len(inc.Ref.memo), len(inc.Ref.conns), len(inc.Ref.parts)} }
+	var at [2][3]int
+	for step := 0; step < 60; step++ {
+		in := e.Cell.Instances[step%len(e.Cell.Instances)]
+		d := geom.Pt(0, 0)
+		if step%2 == 0 {
+			d = geom.Pt(0, 100*lam) // lift it clear, then put it back
+		}
+		e.MoveInstance(in, d)
+		if step%2 == 1 {
+			e.MoveInstance(in, geom.Pt(0, -100*lam))
+		}
+		res, err := inc.Check(e, &v)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if step%2 == 1 && !res.Clean {
+			t.Fatalf("step %d: restored grid not clean: %v", step, res.Mismatches)
+		}
+		switch step {
+		case 9:
+			at[0] = sizes()
+		case 59:
+			at[1] = sizes()
+		}
+	}
+	if at[0] != at[1] {
+		t.Fatalf("memo sizes (memo, conns, parts) grew with generations: %v after 10, %v after 60", at[0], at[1])
+	}
+	// pruned ids are never handed out again: a repeat would alias two
+	// cells' signatures
+	seen := map[uint64]bool{}
+	for _, id := range inc.Ref.ids {
+		if seen[id] {
+			t.Fatalf("cell id %d assigned twice: %v", id, inc.Ref.ids)
+		}
+		seen[id] = true
+	}
+	// the live clone plus the one leaf cell; one instance memo per placement
+	if want := [3]int{2, len(e.Cell.Instances), len(e.Cell.Instances)}; at[1] != want {
+		t.Fatalf("memo sizes (memo, conns, parts) = %v, want %v", at[1], want)
 	}
 }

@@ -105,14 +105,15 @@ type refOcc struct {
 // rather than corrupt them — sessions share derivation work through
 // the content-addressed store (AttachDisk), never through a Reference.
 // Snapshot clones of one design cell are handled naturally (unchanged
-// subtrees keep their pointers, superseded clones are pruned once the
-// memo bloats), which is what keeps a long-lived server session's
-// memory bounded.
+// subtrees keep their pointers, superseded clones of the derived cell
+// are pruned on every call and deeper ones once the memo bloats),
+// which is what keeps a long-lived server session's memory bounded.
 type Reference struct {
-	ids   map[*core.Cell]uint64
-	memo  map[*core.Cell]*refEntry
-	conns map[*core.Instance]cachedConns
-	parts map[*core.Instance]cachedParts
+	ids    map[*core.Cell]uint64
+	lastID uint64
+	memo   map[*core.Cell]*refEntry
+	conns  map[*core.Instance]cachedConns
+	parts  map[*core.Instance]cachedParts
 
 	// busy asserts single-session use of the pointer-keyed memos; a
 	// plain int32 with atomic access keeps the struct copyable.
@@ -344,14 +345,18 @@ func (rf *Reference) declareUnion(uf *geom.UnionFind, e *refEntry, conn core.Con
 	}
 }
 
-// cellID returns a stable (per-Reference) numeric id for a cell.
+// cellID returns a stable (per-Reference) numeric id for a cell. Ids
+// come from a counter, never from the map's size: pruning deletes ids,
+// and a size-derived id would then repeat one a live cell still holds,
+// aliasing two leaves' signatures in the certificate store.
 func (rf *Reference) cellID(c *core.Cell) uint64 {
 	if rf.ids == nil {
 		rf.ids = map[*core.Cell]uint64{}
 	}
 	id, ok := rf.ids[c]
 	if !ok {
-		id = uint64(len(rf.ids) + 1)
+		rf.lastID++
+		id = rf.lastID
 		rf.ids[c] = id
 	}
 	return id
@@ -717,15 +722,40 @@ func fnvInit() uint64 { return seam.FNVInit() }
 
 func fnvMix(h, v uint64) uint64 { return seam.FNVMix(h, v) }
 
-// pruneStale bounds the memo when a long-lived session works over
+// pruneStale bounds the memos when a long-lived session works over
 // snapshot clones: every frozen generation of an edited composition is
-// a fresh *Cell, so without pruning the maps would grow one entry per
-// verified generation. Reachability from the cell being derived
-// identifies the live clone set; superseded clones (entries whose key
-// is a snapshot clone no longer reachable) are dropped. The walk is
-// gated on the memo actually bloating, so the steady state — verify,
-// edit, verify — pays nothing.
+// a fresh *Cell, so without pruning the maps would grow one stitched
+// entry per verified generation. Two sweeps:
+//
+//   - Every call drops the superseded clones of c's own lineage (same
+//     Origin, not c itself), with the instance memos of the instances
+//     only they placed. The scan is over the memo — O(distinct cells) —
+//     and the instance pass runs only when a generation was superseded,
+//     which re-stitches c in O(instances) anyway.
+//   - Clones of other lineages (edited sub-compositions deeper in the
+//     hierarchy) are swept by a reachability walk from c, gated on the
+//     memo actually bloating so the steady state pays nothing.
 func (rf *Reference) pruneStale(c *core.Cell) {
+	var live map[*core.Instance]bool
+	for mc := range rf.memo {
+		if mc == c || mc.Origin() == mc || mc.Origin() != c.Origin() {
+			continue
+		}
+		if live == nil {
+			live = make(map[*core.Instance]bool, len(c.Instances))
+			for _, in := range c.Instances {
+				live[in] = true
+			}
+		}
+		for _, in := range mc.Instances {
+			if !live[in] {
+				delete(rf.conns, in)
+				delete(rf.parts, in)
+			}
+		}
+		delete(rf.memo, mc)
+		delete(rf.ids, mc)
+	}
 	if len(rf.memo) < 2*len(c.Instances)+64 {
 		return
 	}

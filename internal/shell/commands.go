@@ -688,6 +688,15 @@ func (s *Shell) verifyReport(snap *core.Snapshot, cell *core.Cell) (*verify.Repo
 	return s.Verifier.VerifyCell(cell)
 }
 
+// drcReport is verifyReport stopped at the design-rule verdict: the
+// netlist is not built.
+func (s *Shell) drcReport(snap *core.Snapshot, cell *core.Cell) (*verify.Report, error) {
+	if snap != nil {
+		return s.Verifier.DRCSnapshot(snap)
+	}
+	return s.Verifier.DRCCell(cell)
+}
+
 // VerifyNamed verifies one cell by name through the session's snapshot
 // discipline — the editor's generation-keyed path when the cell is
 // under edit, the design's frozen clone otherwise. Programmatic
@@ -699,6 +708,17 @@ func (s *Shell) VerifyNamed(name string) (*verify.Report, error) {
 		return nil, err
 	}
 	return s.verifyReport(snap, cell)
+}
+
+// DRCNamed design-rule checks one cell by name like VerifyNamed, but
+// stops at the verdict: the report's Circuit is left unbuilt (the
+// verifier's EnsureCircuit completes it).
+func (s *Shell) DRCNamed(name string) (*verify.Report, error) {
+	snap, cell, err := snapTarget(s, "DRC", []string{name})
+	if err != nil {
+		return nil, err
+	}
+	return s.drcReport(snap, cell)
 }
 
 // LVSNamed netlist-compares one cell by name through the session's
@@ -714,17 +734,18 @@ func (s *Shell) LVSNamed(name string) (*lvs.Result, error) {
 	return s.LVS.CheckCell(cell, &s.Verifier)
 }
 
-// cmdDRC runs the design-rule checker over a cell's flattened mask
-// geometry — the whole-design verification step the paper's workflow
-// ends with. With no argument it checks the cell under edit; repeated
-// checks of the cell under edit reuse the incremental verifier cache.
+// cmdDRC runs the design-rule checker over a cell's mask geometry —
+// the whole-design verification step the paper's workflow ends with.
+// With no argument it checks the cell under edit; repeated checks of
+// the cell under edit reuse the incremental verifier cache. DRC never
+// builds the netlist.
 func cmdDRC(s *Shell, args []string) error {
 	snap, cell, err := snapTarget(s, "DRC", args)
 	if err != nil {
 		return err
 	}
 	name := targetName(snap, cell)
-	rep, err := s.verifyReport(snap, cell)
+	rep, err := s.drcReport(snap, cell)
 	if err != nil {
 		return err
 	}

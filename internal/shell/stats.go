@@ -25,6 +25,7 @@ func (s *Shell) initRegistry() {
 			obs.N("full", vs.Full),
 			obs.N("hier", vs.Hier),
 			obs.N("hier_partial", vs.HierPartial),
+			obs.N("materialized", vs.Materialized),
 		}
 	})
 	r.Register("flatten", func() []obs.Item {

@@ -15,9 +15,13 @@
 // answer is differential-tested against, so callers cannot observe
 // the path taken except as speed and in Stats.
 //
-// The flatten cache (internal/flatten.Cache) is kept across runs for
-// LVS: EnsureFlat materializes occurrence identity on demand, and an
-// edit re-walks only the instances it touched.
+// A report is finished on demand. The DRC entries (DRCSnapshot,
+// DRCCell) stop at the verdict: the O(copies) netlist is built only
+// when something reads it — EXTRACT and LVS, through EnsureCircuit or
+// the Verify entries that include it. The flatten cache
+// (internal/flatten.Cache) is kept across runs for LVS likewise:
+// EnsureFlat materializes occurrence identity on demand, and an edit
+// re-walks only the instances it touched.
 //
 // A Verifier serves one session at a time and is not safe for
 // concurrent use — but it consumes frozen snapshots
@@ -45,7 +49,8 @@ import (
 type Report struct {
 	// Circuit is the extracted netlist, nil when extraction failed
 	// (CircuitErr says why — e.g. a transistor with a floating channel
-	// mid-edit). DRC runs either way.
+	// mid-edit). DRC runs either way. Reports from the DRC entries
+	// leave both unset until Verifier.EnsureCircuit fills them in.
 	Circuit    *extract.Circuit
 	CircuitErr error
 	// Violations is the design-rule report, empty when clean.
@@ -64,10 +69,17 @@ type Report struct {
 	// Reports from the hierarchical engine leave it nil — no flattening
 	// happened — and Verifier.EnsureFlat populates it on demand.
 	Flat *flatten.Result
+
+	// extracted records that Circuit/CircuitErr are final; pending is
+	// the hierarchical verdict whose netlist is not materialized yet
+	// (nil for flat reports, which extract from Flat).
+	extracted bool
+	pending   *hier.Result
 }
 
 // Clean reports whether the design extracted successfully and checked
-// rule-clean.
+// rule-clean. It reads CircuitErr, so a report from a DRC entry needs
+// Verifier.EnsureCircuit first.
 func (r *Report) Clean() bool {
 	return r.CircuitErr == nil && len(r.Violations) == 0
 }
@@ -75,9 +87,10 @@ func (r *Report) Clean() bool {
 // Stats counts how a Verifier satisfied its runs: Cached (unchanged
 // generation, the report returned outright), Hier (answered by the
 // hierarchical certificate engine) and Full (the engine declined; a
-// from-scratch flat run answered). Any number of edits between two
-// Verify calls coalesce into one run — the batched-edit test pins
-// that.
+// from-scratch flat run answered). A hierarchical run whose netlist
+// materialization later declines is re-answered flat and moves from
+// Hier to Full. Any number of edits between two Verify calls coalesce
+// into one run — the batched-edit test pins that.
 type Stats struct {
 	Cached int
 	// Spliced is always 0. It is kept because the end-to-end
@@ -89,6 +102,9 @@ type Stats struct {
 	// among them that quarantined placements and spliced a flat residue.
 	Hier        int
 	HierPartial int
+	// Materialized counts netlists built: hierarchical
+	// materializations and flat extractions. DRC builds none.
+	Materialized int
 }
 
 // Verifier caches verification state across edits of one composition
@@ -185,15 +201,32 @@ func (v *Verifier) Verify(ed *core.Editor) (*Report, error) {
 	return v.VerifySnapshot(ed.Snapshot())
 }
 
-// VerifySnapshot is Verify against an explicit frozen generation.
-// Snapshot clones of one design cell share lineage (core.Cell.Origin),
-// so successive generations reuse caches exactly as a live editor
-// would: unchanged instances keep their clone pointers and therefore
-// their flatten shards.
+// VerifySnapshot is Verify against an explicit frozen generation: the
+// DRCSnapshot verdict plus EnsureCircuit. Snapshot clones of one design
+// cell share lineage (core.Cell.Origin), so successive generations
+// reuse caches exactly as a live editor would: unchanged instances
+// keep their clone pointers and therefore their flatten shards.
 func (v *Verifier) VerifySnapshot(snap *core.Snapshot) (*Report, error) {
+	return v.snapshot(snap, true)
+}
+
+// DRCSnapshot design-rule checks a frozen generation without building
+// its netlist: the report's Circuit stays unset until EnsureCircuit.
+// It shares VerifySnapshot's generation cache, so a DRC followed by an
+// EXTRACT of the same generation composes once.
+func (v *Verifier) DRCSnapshot(snap *core.Snapshot) (*Report, error) {
+	return v.snapshot(snap, false)
+}
+
+func (v *Verifier) snapshot(snap *core.Snapshot, circuit bool) (*Report, error) {
 	cell, gen := snap.Cell, snap.Gen
 	if v.have && v.cell == cell && v.gen == gen {
 		v.stats.Cached++
+		if circuit {
+			if err := v.EnsureCircuit(v.report); err != nil {
+				return nil, err
+			}
+		}
 		return v.report, nil
 	}
 	if v.have {
@@ -211,82 +244,152 @@ func (v *Verifier) VerifySnapshot(snap *core.Snapshot) (*Report, error) {
 			}
 		}
 	}
-	return v.run(cell, gen)
+	return v.run(cell, gen, circuit)
 }
 
 // VerifyCell verifies a cell outside any editor, bypassing the
-// generation check. Snapshot clones compare by lineage, so verifying
-// successive frozen generations of one design cell keeps the caches
-// warm.
+// generation check: the DRCCell verdict plus EnsureCircuit. Snapshot
+// clones compare by lineage, so verifying successive frozen
+// generations of one design cell keeps the caches warm.
 func (v *Verifier) VerifyCell(cell *core.Cell) (*Report, error) {
+	return v.cellRun(cell, true)
+}
+
+// DRCCell is VerifyCell without building the netlist, as DRCSnapshot
+// is to VerifySnapshot.
+func (v *Verifier) DRCCell(cell *core.Cell) (*Report, error) {
+	return v.cellRun(cell, false)
+}
+
+func (v *Verifier) cellRun(cell *core.Cell, circuit bool) (*Report, error) {
 	if v.cell == nil || v.cell.Origin() != cell.Origin() {
 		v.cache.Reset()
 	}
-	return v.run(cell, 0)
+	return v.run(cell, 0, circuit)
 }
 
-func (v *Verifier) run(cell *core.Cell, gen uint64) (*Report, error) {
+// run answers one generation under a "verify" span: the hierarchical
+// verdict, or the flat fallback when the engine declines; with circuit
+// set, the netlist too, inside the same span.
+func (v *Verifier) run(cell *core.Cell, gen uint64, circuit bool) (*Report, error) {
 	sp := v.trace.Begin("verify")
 	defer sp.End()
 	if sp != nil {
 		sp.Note("cell", cell.Name)
 	}
-	if rep, ok := v.runHier(cell, gen); ok {
-		return rep, nil
+	// hold at most one pending composition: the previous report's goes
+	// before the next generation composes
+	if v.report != nil {
+		v.report.pending = nil
+		v.report = nil
 	}
+	v.have = false
+	rep := v.runHier(cell, gen)
+	if rep == nil {
+		var err error
+		if rep, err = v.runFlat(cell, gen); err != nil {
+			return nil, err
+		}
+		v.stats.Full++
+	}
+	v.cell, v.gen, v.have, v.report = cell, gen, true, rep
+	if circuit {
+		if err := v.ensureCircuit(rep); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// runFlat is the from-scratch fallback's verdict: flatten (through the
+// shard cache) and check. Extraction waits for ensureCircuit.
+func (v *Verifier) runFlat(cell *core.Cell, gen uint64) (*Report, error) {
 	fr, err := v.cache.Flatten(cell)
 	if err != nil {
-		v.have = false
 		return nil, err
 	}
-	esp := v.trace.Begin("extract")
-	ckt, _, cktErr := extract.SolveNets(fr)
-	esp.End()
 	dsp := v.trace.Begin("drc")
 	vs := drc.Check(fr)
 	dsp.End()
-	v.stats.Full++
-	v.cell, v.gen, v.have = cell, gen, true
-	v.report = &Report{
-		Circuit:    ckt,
-		CircuitErr: cktErr,
-		Violations: vs,
-		Gen:        gen,
-		Flat:       fr,
-	}
-	return v.report, nil
+	return &Report{Violations: vs, Gen: gen, Flat: fr}, nil
 }
 
 // runHier attempts the hierarchical path: per-distinct-cell
 // certificates composed over placements, verdict-identical to the flat
-// pipeline or declined. On success the circuit materializes eagerly so
-// the report is complete; Flat stays nil until EnsureFlat. Any decline
-// (engine-level or during materialization) reports ok=false and the
-// caller runs the flat pipeline, which reproduces whatever verdict or
-// error the design deserves.
-func (v *Verifier) runHier(cell *core.Cell, gen uint64) (*Report, bool) {
+// pipeline or declined (nil). The netlist stays pending until
+// ensureCircuit; Flat stays nil until EnsureFlat.
+func (v *Verifier) runHier(cell *core.Cell, gen uint64) *Report {
 	res, ok := v.engine().Verify(cell)
 	if !ok {
-		return nil, false
-	}
-	msp := v.trace.Begin("materialize")
-	ckt, err := res.Circuit()
-	msp.End()
-	if err != nil {
-		return nil, false
+		return nil
 	}
 	v.stats.Hier++
 	if res.Quarantined > 0 {
 		v.stats.HierPartial++
 	}
-	v.cell, v.gen, v.have = cell, gen, true
-	v.report = &Report{
-		Circuit:     ckt,
+	return &Report{
 		Violations:  res.Violations,
 		Quarantined: res.Quarantined,
 		Gen:         gen,
+		pending:     res,
 	}
-	return v.report, true
+}
+
+// EnsureCircuit fills rep.Circuit/CircuitErr for reports the DRC
+// entries produced. Only the verifier's current report can be
+// completed, as with EnsureFlat. A hierarchical report materializes
+// its composed netlist; when that composition declines (say, a compose
+// budget that the fast path's samples fit but the full array does
+// not), the flat pipeline re-answers into the same report — Circuit,
+// CircuitErr, Violations, Flat and Quarantined — and the run counts as
+// Full.
+func (v *Verifier) EnsureCircuit(rep *Report) error {
+	if rep.extracted {
+		return nil
+	}
+	if rep != v.report {
+		return errors.New("verify: EnsureCircuit on a stale report")
+	}
+	sp := v.trace.Begin("verify")
+	defer sp.End()
+	return v.ensureCircuit(rep)
+}
+
+// ensureCircuit is EnsureCircuit for the current report, recording
+// into whatever span is open.
+func (v *Verifier) ensureCircuit(rep *Report) error {
+	if rep.extracted {
+		return nil
+	}
+	if res := rep.pending; res != nil {
+		msp := v.trace.Begin("materialize")
+		ckt, err := res.Circuit()
+		msp.End()
+		rep.pending = nil
+		if err == nil {
+			v.stats.Materialized++
+			rep.Circuit, rep.extracted = ckt, true
+			return nil
+		}
+		// the composition declined after the verdict: answer flat
+		v.stats.Hier--
+		if rep.Quarantined > 0 {
+			v.stats.HierPartial--
+		}
+		v.stats.Full++
+		flat, err := v.runFlat(v.cell, rep.Gen)
+		if err != nil {
+			v.have, v.report = false, nil
+			return err
+		}
+		rep.Violations, rep.Quarantined, rep.Flat = flat.Violations, 0, flat.Flat
+	}
+	esp := v.trace.Begin("extract")
+	rep.Circuit, _, rep.CircuitErr = extract.SolveNets(rep.Flat)
+	esp.End()
+	v.stats.Materialized++
+	rep.extracted = true
+	return nil
 }
 
 // EnsureFlat populates rep.Flat for reports the hierarchical engine

@@ -243,15 +243,16 @@ func plotCell(cell *core.Cell, geometry bool) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// CheckDRC runs the design-rule checker over a cell's flattened mask
-// geometry and returns the violations in deterministic order (empty
-// means the design checks clean). Checks of the cell under edit go
-// through the session's incremental verifier: after a small edit only
-// the disturbed geometry is re-checked.
+// CheckDRC runs the design-rule checker over a cell's mask geometry
+// and returns the violations in deterministic order (empty means the
+// design checks clean). Checks of the cell under edit go through the
+// session's incremental verifier: after a small edit only the
+// disturbed geometry is re-checked. No netlist is built, so a uniform
+// array answers in time independent of its size.
 func (s *Session) CheckDRC(cellName string) ([]Violation, error) {
-	rep, err := s.VerifyCell(cellName)
+	rep, err := s.Shell.DRCNamed(cellName)
 	if err != nil {
-		return nil, err
+		return nil, riotErr(cellName, err)
 	}
 	return rep.Violations, nil
 }
